@@ -12,11 +12,11 @@ namespace {
 // Stem positions in the lifetime of `e` whose sliced tensor is exactly at
 // the target rank — the paper's find_critical_tensors.
 std::vector<int> find_critical_tensors(const tn::Stem& stem, const StemLifetimes& lt,
-                                       const IndexSet& S, double target, EdgeId e) {
+                                       const SlicingState& state, double target, EdgeId e) {
   std::vector<int> crit;
   const auto& iv = lt.of(e);
   for (int p = iv.begin; p <= iv.end; ++p) {
-    double sz = sliced_node_log2size(*stem.tree, stem.nodes[size_t(p)], S);
+    double sz = state.node_log2size(stem.nodes[size_t(p)]);
     if (std::abs(sz - target) < 1e-9) crit.push_back(p);
   }
   return crit;
@@ -53,72 +53,73 @@ std::vector<EdgeId> find_candidate_indices(const tn::Stem& stem, const StemLifet
 
 SliceSet refine_slices(const tn::Stem& stem, SliceSet S, const SliceRefinerOptions& opt,
                        RefineStats* stats_out) {
-  const tn::ContractionTree& tree = *stem.tree;
   auto lt = StemLifetimes::build(stem);
   Rng rng(opt.seed);
   RefineStats stats;
 
-  double cur_cost = evaluate_slicing(tree, S).log2_total_cost;
+  // Every move is evaluated on the lifetimes of the two edges it touches;
+  // the state's cost and bound verdict equal evaluate_slicing's bitwise.
+  SlicingState state(*stem.tree, std::move(S), opt.target_log2size);
+  double cur_cost = state.log2_total_cost();
   stats.initial_log2cost = cur_cost;
-  SliceSet best = S;
+  SliceSet best = state.slices();
   double best_cost = cur_cost;
 
   for (double T = opt.initial_temperature; T > opt.final_temperature; T *= opt.alpha) {
     for (int k = 0; k < opt.moves_per_temperature; ++k) {
-      auto sliced = S.to_vector();
+      auto sliced = state.slices().to_vector();
       if (sliced.empty()) break;
       EdgeId a = sliced[rng.next_below(sliced.size())];
 
-      auto crit = find_critical_tensors(stem, lt, S.edges(), opt.target_log2size, a);
+      auto crit = find_critical_tensors(stem, lt, state, opt.target_log2size, a);
       if (crit.empty()) {
         // `a` shields no critical tensor; if the whole tree stays within
         // bound without it, it is pure overhead — drop it.
-        S.remove(a);
-        if (satisfies_memory_bound(tree, S, opt.target_log2size)) {
+        state.propose_remove(a);
+        if (state.fits()) {
+          state.commit();
           ++stats.dropped_useless;
-          cur_cost = evaluate_slicing(tree, S).log2_total_cost;
+          cur_cost = state.log2_total_cost();
           if (cur_cost < best_cost) {
-            best = S;
+            best = state.slices();
             best_cost = cur_cost;
           }
         } else {
-          S.add(a);  // needed by a branch tensor after all
+          state.rollback();  // needed by a branch tensor after all
         }
         continue;
       }
 
-      for (EdgeId b : find_candidate_indices(stem, lt, S.edges(), crit, a)) {
+      for (EdgeId b : find_candidate_indices(stem, lt, state.slices().edges(), crit, a)) {
         ++stats.proposed;
-        S.remove(a);
-        S.add(b);
-        auto m = evaluate_slicing(tree, S);
-        bool in_bound = m.max_log2size <= opt.target_log2size + 1e-9;
+        state.propose_swap(a, b);
         bool take = false;
-        if (in_bound) {
-          if (m.log2_total_cost < cur_cost) {
+        if (state.fits()) {
+          double new_cost = state.log2_total_cost();
+          if (new_cost < cur_cost) {
             take = true;
           } else {
             // exp((C_ori − C_new)/C_ori / T) with huge C handled via the
             // linear-domain ratio 2^(Δlog2).
-            double ratio = std::exp2(m.log2_total_cost - cur_cost);
+            double ratio = std::exp2(new_cost - cur_cost);
             double p = std::exp((1.0 - ratio) / T);
             if (rng.next_double() < p) {
               take = true;
               ++stats.uphill_accepted;
             }
           }
+          if (take) cur_cost = new_cost;
         }
         if (take) {
+          state.commit();
           ++stats.accepted;
-          cur_cost = m.log2_total_cost;
           if (cur_cost < best_cost) {
-            best = S;
+            best = state.slices();
             best_cost = cur_cost;
           }
           a = b;  // the sliced edge under consideration is now b
         } else {
-          S.remove(b);
-          S.add(a);
+          state.rollback();
         }
       }
     }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tn/contraction_tree.hpp"
@@ -59,6 +60,60 @@ double sliced_node_log2size(const ContractionTree& tree, int node, const IndexSe
 // True iff every intermediate tensor fits 2^target_log2size after slicing.
 bool satisfies_memory_bound(const ContractionTree& tree, const SliceSet& slices,
                             double target_log2size);
+
+// Incremental Eq. 4 cost and memory-bound verdict of a slicing set under
+// single-edge moves — the lifetime-based delta evaluation behind Algorithm 2.
+//
+// Moving edge e changes only the nodes of e's lifetime (Definition 1: the
+// nodes whose `ixs` hold e) and the contractions whose `union_ixs` hold e.
+// A proposal recomputes exactly those nodes with the same
+// `tn::log2w_intersection` call `evaluate_slicing` makes, counts how many
+// nodes exceed the bound, and replays the Eq. 4 log-sum-exp chain from the
+// first contraction whose cost changed. Every value is therefore bitwise
+// equal to what `evaluate_slicing` / `satisfies_memory_bound` return for
+// the same set, for any edge weights.
+//
+// At most one proposal is pending; `commit` keeps it, `rollback` undoes it.
+class SlicingState {
+ public:
+  SlicingState(const ContractionTree& tree, SliceSet slices, double target_log2size);
+
+  const SliceSet& slices() const { return slices_; }
+  // Sliced log2 size of one node; equals sliced_node_log2size bitwise.
+  double node_log2size(int node) const { return size_[size_t(node)]; }
+  // satisfies_memory_bound(tree, slices(), target) of the current set.
+  bool fits() const { return num_over_ == 0; }
+  // evaluate_slicing(tree, slices()).log2_total_cost of the current set.
+  double log2_total_cost() const;
+
+  void propose_swap(EdgeId a, EdgeId b);  // S − a + b
+  void propose_remove(EdgeId a);          // S − a
+  void commit();
+  void rollback();
+
+ private:
+  void propose(EdgeId a, EdgeId b);  // slices_ already edited; b is kNone for a removal
+  void end_proposal();
+
+  const ContractionTree* tree_;
+  double bound_;  // target + the 1e-9 tolerance satisfies_memory_bound allows
+  SliceSet slices_;
+  std::vector<std::vector<int>> lifetime_;      // per edge: nodes whose ixs hold it
+  std::vector<int> chain_node_;                 // internal nodes in node order (Eq. 4 chain)
+  std::vector<std::vector<int>> contractions_;  // per edge: chain positions whose union_ixs hold it
+  std::vector<double> size_;                    // per node, sliced log2 size
+  std::vector<double> cost_;                    // per chain position, sliced log2 cost
+  std::vector<double> prefix_;                  // Eq. 4 log-sum-exp after each chain position
+  int num_over_ = 0;                            // nodes whose sliced size exceeds bound_
+
+  // The pending proposal: the set operations to invert and the old values.
+  bool pending_ = false;
+  EdgeId moved_a_ = tn::kNone, moved_b_ = tn::kNone;
+  std::vector<std::pair<int, double>> undo_size_, undo_cost_;
+  int num_over_before_ = 0;
+  size_t dirty_from_ = 0;       // first chain position whose cost changed
+  std::vector<double> replay_;  // prefix_ from dirty_from_ on, under the proposal
+};
 
 // Brute-force reference used by tests: enumerates all subtask assignments of
 // the (unit-weight) sliced edges and sums per-subtask costs directly.

@@ -25,7 +25,7 @@
 // Blocking order (columns outside K panels) is free: each element still
 // sees its K panels in ascending order. tests/test_device fuzzes this
 // against the host backend across shapes and pool widths.
-#include <cstring>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -118,7 +118,7 @@ struct PanelBuf {
 
 void blocked_rows(int m0, int m1, int n, int k, const cfloat* a, const cfloat* b, cfloat* c,
                   PackAccum* acc) {
-  for (int i = m0; i < m1; ++i) std::memset(c + size_t(i) * n, 0, size_t(n) * sizeof(cfloat));
+  for (int i = m0; i < m1; ++i) std::fill_n(c + size_t(i) * n, n, cfloat{});
   PanelBuf buf;
   for (int jc = 0; jc < n; jc += kNc) {
     const int nc = std::min(kNc, n - jc);
@@ -185,7 +185,7 @@ class BlockedBackend final : public DeviceBackend {
     }
     if (m == 0 || n == 0) return;
     if (k == 0) {
-      std::memset(c, 0, size_t(m) * n * sizeof(cfloat));
+      std::fill_n(c, size_t(m) * n, cfloat{});
       return;
     }
     // Same parallel split (and threshold) as exec::cgemm, so a given pool
