@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end check of the kernel verification contract (docs/kernels.md):
 #
-#   1. fp32 backends (blocked, simd) must print amplitude lines
+#   1. the fp32 simd backend must print amplitude lines
 #      BYTE-identical to the host backend — solo, across every forced
 #      SIMD tier (LTNS_FORCE_ISA clamps to hardware, so the avx512 leg
 #      degrades safely on machines without it), under elastic
@@ -45,11 +45,9 @@ echo "== fp32 reference (host) =="
 amp "$DIR/host.txt" --backend=host
 cat "$DIR/host.txt"
 
-echo "== fp32 backends bitwise vs host (solo) =="
-for b in blocked simd; do
-  amp "$DIR/fp32_$b.txt" --backend=$b
-  python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_$b.txt"
-done
+echo "== fp32 simd bitwise vs host (solo) =="
+amp "$DIR/fp32_simd.txt" --backend=simd
+python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_simd.txt"
 
 echo "== fp32 simd bitwise under every forced ISA tier =="
 for isa in portable avx2 avx512 neon; do
@@ -62,10 +60,9 @@ amp "$DIR/fp32_elastic.txt" --backend=simd --processes=2 --elastic
 python3 "$CMP" --compare-mode=bitwise "$DIR/host.txt" "$DIR/fp32_elastic.txt"
 
 echo "== bf16: deterministic across backends and tiers (solo) =="
-for b in host blocked simd; do
+for b in host simd; do
   amp "$DIR/bf16_$b.txt" --backend=$b --precision=bf16
 done
-python3 "$CMP" --compare-mode=bitwise "$DIR/bf16_host.txt" "$DIR/bf16_blocked.txt"
 python3 "$CMP" --compare-mode=bitwise "$DIR/bf16_host.txt" "$DIR/bf16_simd.txt"
 LTNS_FORCE_ISA=portable amp "$DIR/bf16_portable.txt" --backend=simd+bf16
 python3 "$CMP" --compare-mode=bitwise "$DIR/bf16_host.txt" "$DIR/bf16_portable.txt"

@@ -50,6 +50,21 @@ const std::string& PreparedPlan::plan_cache_key() const {
   return state_ != nullptr ? state_->plan_cache_key : empty;
 }
 
+namespace {
+
+// The GEMM operand precision the run resolves to: what result-cache keys
+// and journal fingerprints hash. A malformed spec (which validate_options
+// refuses to run) reports fp32 instead of throwing.
+exec::Precision run_precision(const SimulatorOptions& opt) {
+  try {
+    return device::parse_backend_spec(effective_backend_spec(opt)).precision;
+  } catch (const std::invalid_argument&) {
+    return exec::Precision::kFp32;
+  }
+}
+
+}  // namespace
+
 Simulator::Simulator(circuit::Circuit c, SimulatorOptions opt)
     : circuit_(std::move(c)), opt_(std::move(opt)) {
   if (opt_.cache.plan_enabled()) plan_cache_ = std::make_shared<cache::PlanCache>(opt_.cache);
@@ -58,7 +73,7 @@ Simulator::Simulator(circuit::Circuit c, SimulatorOptions opt)
     // The covering-batch index scope: a result key with bits/open blanked,
     // i.e. the circuit + every knob that selects WHICH numbers come out.
     result_scope_ = cache::result_key(circuit::circuit_to_string(circuit_), "", "", opt_.plan,
-                                      opt_.fused, opt_.ldm_elems);
+                                      opt_.fused, opt_.ldm_elems, run_precision(opt_));
   }
 }
 
@@ -105,8 +120,8 @@ std::string run_fingerprint(const circuit::Circuit& c, const SimulatorOptions& o
                             const std::vector<int>& bits, const std::vector<int>& open_qubits,
                             const core::Plan& plan) {
   return dist::run_fingerprint(circuit::circuit_to_string(c), bit_text(bits),
-                               open_text(open_qubits), opt.fused, opt.ldm_elems, plan.path,
-                               plan.slices.to_vector());
+                               open_text(open_qubits), opt.fused, opt.ldm_elems,
+                               run_precision(opt), plan.path, plan.slices.to_vector());
 }
 
 RunOutput run(const circuit::LoweredNetwork& lowered, const core::Plan& plan,
@@ -213,7 +228,8 @@ std::string Simulator::plan_key_for(const std::vector<int>& bits,
 std::string Simulator::result_key_for(const std::vector<int>& bits,
                                       const std::vector<int>& open_qubits) const {
   return cache::result_key(circuit::circuit_to_string(circuit_), bit_text(bits),
-                           open_text(open_qubits), opt_.plan, opt_.fused, opt_.ldm_elems);
+                           open_text(open_qubits), opt_.plan, opt_.fused, opt_.ldm_elems,
+                           run_precision(opt_));
 }
 
 PreparedPlan Simulator::prepare(const std::vector<int>& bits,

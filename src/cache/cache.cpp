@@ -102,10 +102,10 @@ std::string plan_key(const std::string& circuit_text, const std::string& bits,
 
 std::string result_key(const std::string& circuit_text, const std::string& bits,
                        const std::string& open_qubits, const core::PlanOptions& plan, bool fused,
-                       uint64_t ldm_elems) {
+                       uint64_t ldm_elems, exec::Precision precision) {
   std::string id = "result|" + circuit_text + '|' + bits + '|' + open_qubits + '|' +
                    core::plan_options_text(plan) + '|' + std::to_string(int(fused)) + '|' +
-                   std::to_string(ldm_elems);
+                   std::to_string(ldm_elems) + '|' + exec::precision_name(precision);
   return dist::fnv1a_hex(id);
 }
 

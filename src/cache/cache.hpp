@@ -39,6 +39,7 @@
 #include "api/telemetry.hpp"
 #include "cache/options.hpp"
 #include "core/planner.hpp"
+#include "exec/simd_kernels.hpp"
 #include "tn/tensor_network.hpp"
 
 namespace ltns::cache {
@@ -58,12 +59,13 @@ std::string plan_key(const std::string& circuit_text, const std::string& bits,
 
 // The result key extends the plan key's preimage with the execution knobs
 // that select WHICH numbers are computed (fused stem windows and the LDM
-// capacity change the kernel schedule, not just its speed). Executor,
-// backend and process count are deliberately absent: conforming backends
-// are bitwise identical, so one cached result serves them all.
+// capacity change the kernel schedule, not just its speed; bf16 operands
+// change the bits). Executor, backend name and process count are
+// deliberately absent: conforming backends are bitwise identical at one
+// precision, so one cached result serves them all.
 std::string result_key(const std::string& circuit_text, const std::string& bits,
                        const std::string& open_qubits, const core::PlanOptions& plan, bool fused,
-                       uint64_t ldm_elems);
+                       uint64_t ldm_elems, exec::Precision precision);
 
 // One LRU+disk tier of serialized entries. Shared by both caches; public
 // mostly for tests, which exercise eviction order and corruption handling

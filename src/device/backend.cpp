@@ -56,55 +56,16 @@ exec::Tensor DeviceBackend::contract(const exec::Tensor& a, const exec::Tensor& 
   return exec::contract(a, b, pool, cs, this, stats);
 }
 
-namespace {
-
-// Staging copy for host-class non-unified backends: a single timed
-// copy-construction (fresh aligned storage) IS the transfer — no separate
-// zero-fill + memcpy round trip on the hot path.
-exec::Tensor staged_copy(const exec::Tensor& t, double* bytes, double* ns, uint64_t* ops,
-                         obs::EventKind kind) {
-  obs::TraceScope tr(kind, uint64_t(double(t.size()) * kBytesPerElem));
-  Timer timer;
-  exec::Tensor out = t;
-  *ns += timer.seconds() * 1e9;
-  *bytes += double(t.size()) * kBytesPerElem;
-  *ops += 1;
-  return out;
-}
-
-}  // namespace
-
 exec::Tensor DeviceBackend::run_stem_window(exec::Tensor w, const exec::Tensor* branches,
                                             int n_steps, exec::ContractStats* cs,
                                             DeviceStats* stats, size_t* peak_elems) {
-  // Host-class staging only: the aligned Tensor doubles as the device
-  // buffer, so each transfer is one copy. A discrete device (real CUDA)
-  // must override run_stem_window outright — its kernels consume device
-  // pointers, not host Tensors — and route its copies through
-  // upload/download for the same accounting.
-  const bool staged = !capabilities().unified_memory;
-  DeviceStats local;  // transfer accounting when the caller passed none
-  DeviceStats* st = stats != nullptr ? stats : &local;
-  if (staged && w.size() > 0)
-    w = staged_copy(w, &st->bytes_to_device, &st->ns_to_device, &st->uploads,
-                    obs::EventKind::kDeviceUpload);
   size_t peak = w.size();
   for (int k = 0; k < n_steps; ++k) {
-    const exec::Tensor* b = &branches[k];
-    exec::Tensor staged_b;
-    if (staged) {
-      staged_b = staged_copy(*b, &st->bytes_to_device, &st->ns_to_device, &st->uploads,
-                             obs::EventKind::kDeviceUpload);
-      b = &staged_b;
-    }
-    exec::Tensor wn = contract(w, *b, /*pool=*/nullptr, cs, stats);  // serial: one CPE/SM
-    peak = std::max(peak, w.size() + b->size() + wn.size());
+    exec::Tensor wn = contract(w, branches[k], /*pool=*/nullptr, cs, stats);  // serial: one CPE
+    peak = std::max(peak, w.size() + branches[k].size() + wn.size());
     w = std::move(wn);
-    st->stem_steps += 1;
+    if (stats) stats->stem_steps += 1;
   }
-  if (staged && w.size() > 0)
-    w = staged_copy(w, &st->bytes_to_host, &st->ns_to_host, &st->downloads,
-                    obs::EventKind::kDeviceDownload);
   if (peak_elems) *peak_elems = peak;
   return w;
 }
@@ -114,10 +75,7 @@ exec::Tensor DeviceBackend::run_stem_window(exec::Tensor w, const exec::Tensor* 
 // Factories live in their backend's translation unit; the explicit list
 // (rather than static self-registration) keeps construction order trivial.
 std::unique_ptr<DeviceBackend> make_host_backend(exec::Precision prec);
-std::unique_ptr<DeviceBackend> make_blocked_backend(exec::Precision prec);
 std::unique_ptr<DeviceBackend> make_simd_backend(exec::Precision prec);
-std::unique_ptr<DeviceBackend> make_cuda_backend(exec::Precision prec);  // throws when compiled out
-DeviceCaps cuda_backend_caps();
 
 std::string BackendSpec::spec() const {
   if (precision == exec::Precision::kFp32) return name;
@@ -158,22 +116,17 @@ std::vector<BackendInfo> available_backends() {
   const exec::Precision fp32 = exec::Precision::kFp32;
   std::vector<BackendInfo> out;
   out.push_back({"host", make_host_backend(fp32)->capabilities()});
-  out.push_back({"blocked", make_blocked_backend(fp32)->capabilities()});
   out.push_back({"simd", make_simd_backend(fp32)->capabilities()});
-  out.push_back({"cuda", cuda_backend_caps()});
   return out;
 }
 
 std::unique_ptr<DeviceBackend> make_backend(const std::string& spec) {
   const BackendSpec s = parse_backend_spec(spec);
   if (s.name == "host") return make_host_backend(s.precision);
-  if (s.name == "blocked") return make_blocked_backend(s.precision);
   if (s.name == "simd") return make_simd_backend(s.precision);
-  if (s.name == "cuda") return make_cuda_backend(s.precision);
   std::ostringstream msg;
   msg << "unknown device backend '" << s.name << "'; known backends:";
-  for (const auto& b : available_backends())
-    msg << " " << b.name << (b.caps.available ? "" : " (unavailable)");
+  for (const auto& b : available_backends()) msg << " " << b.name;
   msg << " (each accepts a +fp32 or +bf16 precision suffix)";
   throw std::invalid_argument(msg.str());
 }
@@ -182,10 +135,9 @@ std::string backend_help() {
   std::ostringstream o;
   o << "device backends (spec: name[+fp32|+bf16], default fp32):\n";
   for (const auto& b : available_backends()) {
-    o << "  " << b.name << (b.caps.available ? "" : "  [unavailable in this build]") << "\n"
+    o << "  " << b.name << "\n"
       << "      " << b.caps.description << "\n"
-      << "      unified_memory=" << (b.caps.unified_memory ? "yes" : "no")
-      << " alignment=" << b.caps.alignment << "B simd_lanes=" << b.caps.simd_lanes
+      << "      alignment=" << b.caps.alignment << "B simd_lanes=" << b.caps.simd_lanes
       << " isa=" << b.caps.isa << "\n";
   }
   return o.str();

@@ -15,13 +15,11 @@
 // bitwise-stability guarantee of the whole system (tests/test_device,
 // tests/test_dist, the CI byte-diff jobs) rests on this.
 //
-// Registry: make_backend("host" | "blocked" | "simd" | "cuda"). "host"
-// delegates to exec::cgemm / exec::permute unchanged; "blocked" runs
-// cache-blocked, alignment-aware, compiler-vectorizable kernels with the
-// identical reduction order; "simd" runs the explicit-intrinsic vector
-// tiers (runtime avx2/avx512/neon dispatch, src/device/cpu_probe.*) with
-// the same bits; "cuda" is compile-gated behind LTNS_ENABLE_CUDA (listed
-// as unavailable otherwise) so real hardware is a drop-in later.
+// Registry: make_backend("host" | "simd"). "host" delegates to
+// exec::cgemm / exec::permute unchanged and is the reference every test
+// compares against; "simd" runs the explicit-intrinsic vector tiers
+// (runtime avx2/avx512/neon dispatch, src/device/cpu_probe.*) with the
+// same bits.
 //
 // Backend SPECS: every name accepts an optional precision suffix,
 // "name+fp32" (the default) or "name+bf16" (the mixed-precision mode:
@@ -47,8 +45,6 @@
 namespace ltns::device {
 
 struct DeviceCaps {
-  bool available = true;       // constructible in this build
-  bool unified_memory = true;  // kernels read host tensors in place
   size_t alignment = exec::kTensorAlignment;  // required/guaranteed buffer alignment
   size_t simd_lanes = 8;  // float lanes the kernels target (cpu_probe's active tier)
   std::string isa;        // active ISA tier label ("avx2", "portable", ...)
@@ -69,9 +65,8 @@ class DeviceBackend {
   virtual DeviceCaps capabilities() const = 0;
 
   // --- aligned scratch + transfers ---------------------------------------
-  // Host-class backends hand out host pointers (unified memory); transfers
-  // are still real copies with bytes/ns accounting, so the upload/download
-  // seam behaves identically when a discrete device replaces them.
+  // Both backends hand out host pointers (the kernels read host tensors in
+  // place); transfers are still real copies with bytes/ns accounting.
   virtual exec::cfloat* alloc_elems(size_t n);
   virtual void free_elems(exec::cfloat* p, size_t n);
   virtual void upload(exec::cfloat* dst, const exec::cfloat* src, size_t n, DeviceStats* stats);
@@ -93,10 +88,9 @@ class DeviceBackend {
 
   // Batched stem-step execution: the whole fused window of one secondary
   // subtask — n_steps contractions of the working tensor against
-  // consecutive branches, serial (one subtask IS one CPE/SM). Staged
-  // (non-unified) backends upload the working tensor once, run the steps in
-  // device scratch, and download the result once; `peak_elems` (optional)
-  // receives the max live elements across the steps (the LDM model check).
+  // consecutive branches, serial (one subtask IS one CPE). `peak_elems`
+  // (optional) receives the max live elements across the steps (the LDM
+  // model check).
   virtual exec::Tensor run_stem_window(exec::Tensor w, const exec::Tensor* branches,
                                        int n_steps, exec::ContractStats* cs,
                                        DeviceStats* stats, size_t* peak_elems = nullptr);
@@ -120,10 +114,9 @@ struct BackendSpec {
   std::string spec() const;
 };
 
-// Splits "blocked+bf16" -> {blocked, kBf16}. Empty spec means the default
+// Splits "simd+bf16" -> {simd, kBf16}. Empty spec means the default
 // backend ("host"). Throws std::invalid_argument for an unknown precision
-// suffix; the NAME is validated later by make_backend (so help/error paths
-// can parse specs for unavailable backends).
+// suffix; the NAME is validated later by make_backend.
 BackendSpec parse_backend_spec(const std::string& spec);
 
 // Merges a worker-local --backend override with a job's backend spec: the
@@ -135,12 +128,12 @@ BackendSpec parse_backend_spec(const std::string& spec);
 std::string merge_backend_override(const std::string& job_spec,
                                    const std::string& override_spec);
 
-// Every registered backend, available or not (the CLI's `--backend=help`).
+// Every registered backend (the CLI's `--backend=help`).
 std::vector<BackendInfo> available_backends();
 
 // Constructs a backend from a "name[+precision]" spec; throws
-// std::invalid_argument for unknown names/precisions and for backends
-// compiled out of this build, with a message that lists what IS available.
+// std::invalid_argument for unknown names/precisions, with a message that
+// lists the known backends.
 std::unique_ptr<DeviceBackend> make_backend(const std::string& spec);
 
 // Human-readable listing of every backend with capability/alignment info.

@@ -27,8 +27,7 @@ struct CpuProbe {
 const CpuProbe& cpu_probe();
 
 // Float lanes of the active tier — the DeviceCaps::simd_lanes source of
-// truth for host/blocked/simd (and the cuda scaffolding, which runs these
-// same CPU kernels until real hardware lands).
+// truth for both the host and simd backends.
 size_t probe_simd_lanes();
 
 // "avx2", "avx512 (forced: portable)", ... for capability descriptions.

@@ -13,8 +13,8 @@
 // backends, ULP-bounded against fp32.
 //
 // Panel/strip packing into split-complex float planes is counted as
-// to-device traffic, same as the blocked backend's B panels: packing IS
-// the staging copy an accelerator makes explicit.
+// to-device traffic: packing IS the staging copy an accelerator makes
+// explicit.
 #include <memory>
 
 #include "device/backend.hpp"
@@ -34,8 +34,6 @@ class SimdBackend final : public DeviceBackend {
 
   DeviceCaps capabilities() const override {
     DeviceCaps c;
-    c.available = true;
-    c.unified_memory = true;  // kernels read host tensors in place
     c.alignment = exec::kTensorAlignment;
     c.simd_lanes = probe_simd_lanes();
     c.isa = exec::isa_name(cpu_probe().active);

@@ -3,9 +3,9 @@
 // One DeviceStats is kept per worker next to its ExecStats and merged once
 // at the end of a run, so recording needs no synchronization. The transfer
 // fields follow the bytes/ns-to-device accounting convention of real
-// offload runtimes: host-class backends with unified memory legitimately
-// report zero transfer bytes (kernels read tensors in place), staged
-// backends (packed-panel scratch, a real accelerator) report every copy.
+// offload runtimes: the host backend legitimately reports zero transfer
+// bytes (kernels read tensors in place), the simd backend reports its
+// panel packing as to-device traffic.
 // This header is dependency-free on purpose: both the exec layer and the
 // runtime telemetry embed it.
 #pragma once

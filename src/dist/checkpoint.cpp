@@ -182,10 +182,11 @@ std::string fnv1a_hex(const void* data, size_t n) {
 
 std::string run_fingerprint(const std::string& circuit_text, const std::string& bits,
                             const std::string& open_qubits, bool fused, uint64_t ldm_elems,
-                            const tn::SsaPath& path, const std::vector<int>& sliced_edges) {
+                            exec::Precision precision, const tn::SsaPath& path,
+                            const std::vector<int>& sliced_edges) {
   std::string id = circuit_text;
   id += '|' + bits + '|' + open_qubits + '|' + std::to_string(int(fused)) + '|' +
-        std::to_string(ldm_elems);
+        std::to_string(ldm_elems) + '|' + exec::precision_name(precision);
   id += "|path:";
   for (auto v : path.leaf_vertices) id += std::to_string(int(v)) + ",";
   for (const auto& [l, r] : path.steps) id += std::to_string(l) + "+" + std::to_string(r) + ";";

@@ -38,6 +38,7 @@
 
 #include "dist/lease.hpp"
 #include "dist/shard_merge.hpp"
+#include "exec/simd_kernels.hpp"
 #include "tn/contraction_tree.hpp"
 #include "util/timer.hpp"
 
@@ -72,10 +73,12 @@ uint32_t crc32_ieee(const void* data, size_t n);
 // and (b) a journal spilled by one transport can resume under the other
 // (both derive the same plan from the same inputs). `bits` is the
 // '0'/'1' output bitstring; `open_qubits` a textual open-qubit list
-// ("" when closed).
+// ("" when closed); `precision` the GEMM operand precision the run
+// resolves to (a bf16 journal must never merge into an fp32 run).
 std::string run_fingerprint(const std::string& circuit_text, const std::string& bits,
                             const std::string& open_qubits, bool fused, uint64_t ldm_elems,
-                            const tn::SsaPath& path, const std::vector<int>& sliced_edges);
+                            exec::Precision precision, const tn::SsaPath& path,
+                            const std::vector<int>& sliced_edges);
 
 // Identity of the run a journal belongs to. total/home_workers/lease_size
 // pin the LeaseLedger tiling (lease_size must be the RESOLVED size — ask

@@ -61,6 +61,12 @@ std::string job_backend_spec(const std::string& server_backend, const JobSpec& s
   return base;
 }
 
+// The GEMM precision that spec resolves to: what the job's result keys and
+// journal fingerprint hash.
+exec::Precision job_precision(const std::string& server_backend, const JobSpec& spec) {
+  return device::parse_backend_spec(job_backend_spec(server_backend, spec)).precision;
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -320,9 +326,9 @@ struct ServerImpl {
     po.seed = s.plan_seed;
     return po;
   }
-  static std::string spec_result_key(const JobSpec& s) {
+  std::string spec_result_key(const JobSpec& s) const {
     return cache::result_key(s.circuit_text, s.bits, /*open_qubits=*/"", spec_plan_options(s),
-                             s.fused != 0, s.ldm_elems);
+                             s.fused != 0, s.ldm_elems, job_precision(opt.backend, s));
   }
   // The canonical key preimage forms the Simulator hashes ('0'/'1' bit
   // text, "q0,q1," open text) — a batch the server computes must be
@@ -340,13 +346,14 @@ struct ServerImpl {
   }
   // Everything the result key hashes besides bits/open — the scope the
   // covering-batch index partitions on (mirrors api::Simulator).
-  static std::string spec_scope(const JobSpec& s) {
+  std::string spec_scope(const JobSpec& s) const {
     return cache::result_key(s.circuit_text, "", "", spec_plan_options(s), s.fused != 0,
-                             s.ldm_elems);
+                             s.ldm_elems, job_precision(opt.backend, s));
   }
-  static std::string group_result_key(const JobSpec& s, const query::GroupSpec& g) {
+  std::string group_result_key(const JobSpec& s, const query::GroupSpec& g) const {
     return cache::result_key(s.circuit_text, bit_text(g.base_bits), open_text(g.open_qubits),
-                             spec_plan_options(s), s.fused != 0, s.ldm_elems);
+                             spec_plan_options(s), s.fused != 0, s.ldm_elems,
+                             job_precision(opt.backend, s));
   }
 
   static bool terminal(JobState s) {
@@ -528,7 +535,7 @@ struct ServerImpl {
         meta.lease_size = j.ledger->lease_size();
         meta.run_id = run_fingerprint(j.spec.circuit_text, j.spec.bits, /*open_qubits=*/"",
                                       j.spec.fused != 0, j.spec.ldm_elems,
-                                      j.prepared->plan.path,
+                                      job_precision(opt.backend, j.spec), j.prepared->plan.path,
                                       j.prepared->plan.slices.to_vector());
         // Always resume-if-present: a re-queued job that was mid-run when
         // the server died replays its journal and recomputes only the tail.

@@ -141,8 +141,9 @@ CoordinatorResult CoordinatorServer::run_amplitude(int num_workers, const circui
         // matches what the Simulator writes for the same job, so a journal
         // spilled by the fork driver can resume here and vice versa.
         meta.run_id = run_fingerprint(base.circuit_text, base.bits, /*open_qubits=*/"",
-                                      opt.fused, opt.ldm_elems, p.plan.path,
-                                      p.plan.slices.to_vector());
+                                      opt.fused, opt.ldm_elems,
+                                      device::parse_backend_spec(base.backend).precision,
+                                      p.plan.path, p.plan.slices.to_vector());
         journal = open_or_resume_journal(opt.spill_dir, meta, opt.resume,
                                          opt.spill_fsync_seconds, &coord.mutable_ledger(),
                                          &merger);

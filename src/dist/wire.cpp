@@ -1,5 +1,6 @@
 #include "dist/wire.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <unistd.h>
@@ -13,6 +14,8 @@ namespace {
 // 1 TiB payload cap: far above any slice tensor, small enough to catch a
 // corrupt length before it turns into an allocation bomb.
 constexpr uint64_t kMaxPayload = uint64_t(1) << 40;
+// First read_frame buffer size; it doubles from there as payload arrives.
+constexpr size_t kFirstPayloadChunk = size_t(1) << 20;
 
 struct FrameHeader {
   uint32_t magic;
@@ -104,8 +107,17 @@ bool read_frame(int fd, Frame* out) {
         std::string(host_endian() == kWireEndianBig ? "big" : "little") + "-endian)");
   if (h.payload_len > kMaxPayload) throw std::runtime_error("dist wire: oversized payload");
   out->type = FrameType(h.type);
-  out->payload.resize(size_t(h.payload_len));
-  if (h.payload_len > 0) read_exact(fd, out->payload.data(), out->payload.size(), false);
+  // Grow the buffer geometrically as bytes arrive instead of trusting the
+  // header's length up front: a forged or corrupt length then costs one
+  // first chunk or about twice what the peer actually sent, whichever is
+  // larger, not a kMaxPayload allocation.
+  const size_t len = size_t(h.payload_len);
+  out->payload.clear();
+  while (out->payload.size() < len) {
+    const size_t got = out->payload.size();
+    out->payload.resize(std::min(len, std::max(kFirstPayloadChunk, 2 * got)));
+    read_exact(fd, out->payload.data() + got, out->payload.size() - got, false);
+  }
   tr.set_args(uint64_t(h.type), sizeof(FrameHeader) + h.payload_len);
   return true;
 }

@@ -202,8 +202,7 @@ struct WindowExec {
 
       if (backend != nullptr) {
         // Batched device execution: the whole window's steps run on the
-        // backend (one staged upload/download round-trip for non-unified
-        // devices). The DMA model still counts each branch get.
+        // backend. The DMA model still counts each branch get.
         for (int k = win.begin_step; k < win.end_step; ++k) {
           const Tensor& b = branches[size_t(k)];
           ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);

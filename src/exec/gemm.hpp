@@ -1,7 +1,7 @@
 // Complex single-precision GEMM: C = A · B, row-major, no transposes
 // (operands are pre-permuted by the TTGT pipeline, §5).
 //
-// The blocked kernel mirrors the paper's 4x4 complex micro-kernel design
+// The packed kernel mirrors the paper's 4x4 complex micro-kernel design
 // (§5.1): panels of A and B are packed, a 4x4 accumulator tile lives in
 // registers, and the K loop runs innermost. For the narrow shapes that
 // dominate quantum-circuit contractions (two of m, n, k < 16) GEMM is

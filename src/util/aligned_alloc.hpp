@@ -1,7 +1,7 @@
 // Over-aligned STL allocator for kernel-facing buffers.
 //
 // Tensor payloads (and device scratch) are allocated on cache-line/SIMD
-// boundaries so blocked kernels and device uploads never hit the unaligned
+// boundaries so the SIMD kernels and device uploads never hit the unaligned
 // path: a 64-byte boundary covers AVX-512 loads, the common cache line, and
 // the DMA granularity the Sunway model assumes. C++17 aligned operator new
 // does the heavy lifting; the allocator only pins the alignment into the

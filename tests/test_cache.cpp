@@ -33,6 +33,7 @@
 #include "cache/cache.hpp"
 #include "circuit/io.hpp"
 #include "core/planner.hpp"
+#include "dist/checkpoint.hpp"
 #include "dist/client.hpp"
 #include "dist/server.hpp"
 #include "dist/service.hpp"
@@ -95,13 +96,27 @@ TEST(CacheKeys, DeterministicAndSensitiveToEveryInput) {
 
 TEST(CacheKeys, ResultKeyExtendsPlanKeyWithExecutionKnobs) {
   core::PlanOptions po;
-  const std::string r = result_key("circ", "01", "", po, /*fused=*/true, /*ldm=*/32768);
-  EXPECT_EQ(r, result_key("circ", "01", "", po, true, 32768));
+  const auto fp32 = exec::Precision::kFp32;
+  const std::string r = result_key("circ", "01", "", po, /*fused=*/true, /*ldm=*/32768, fp32);
+  EXPECT_EQ(r, result_key("circ", "01", "", po, true, 32768, fp32));
   // Execution knobs that change WHICH numbers are computed change the key;
-  // the plan key must ignore them (one plan serves both stem modes).
-  EXPECT_NE(r, result_key("circ", "01", "", po, false, 32768));
-  EXPECT_NE(r, result_key("circ", "01", "", po, true, 16384));
+  // the plan key must ignore them (one plan serves both stem modes and
+  // both precisions).
+  EXPECT_NE(r, result_key("circ", "01", "", po, false, 32768, fp32));
+  EXPECT_NE(r, result_key("circ", "01", "", po, true, 16384, fp32));
+  EXPECT_NE(r, result_key("circ", "01", "", po, true, 32768, exec::Precision::kBf16));
   EXPECT_NE(r, plan_key("circ", "01", "", po));
+}
+
+TEST(CacheKeys, JournalFingerprintSeparatesPrecisions) {
+  tn::SsaPath path;
+  path.leaf_vertices = {0, 1, 2};
+  path.steps = {{0, 1}, {3, 2}};
+  const auto fp = [&](exec::Precision p) {
+    return dist::run_fingerprint("circ", "01", "", true, 32768, p, path, {4, 7});
+  };
+  EXPECT_EQ(fp(exec::Precision::kFp32), fp(exec::Precision::kFp32));
+  EXPECT_NE(fp(exec::Precision::kFp32), fp(exec::Precision::kBf16));
 }
 
 // --- TieredStore ----------------------------------------------------------
@@ -325,6 +340,41 @@ TEST(SimulatorCache, WarmRunIsBitwiseIdenticalAndSkipsPlanning) {
     EXPECT_EQ(st.plan.disk_hits, 1u);
     EXPECT_EQ(st.result.hits(), 0u);
   }
+}
+
+// A bf16 result must never answer an fp32 request (or the reverse): two
+// Simulators share one cache directory, the bf16 one runs first, and the
+// fp32 one must recompute and match a cache-less fp32 run bit for bit.
+TEST(SimulatorCache, PrecisionIsPartOfTheResultKey) {
+  ScopedCacheDir dir;
+  auto c = test::small_rqc(3, 3, 6, 9);
+  api::SimulatorOptions opt;
+  opt.plan.target_log2size = 6;
+  const std::vector<int> bits = test::zero_bits(c.num_qubits);
+
+  api::SimulatorOptions no_cache = opt;
+  no_cache.cache.plan_cache_entries = 0;
+  no_cache.cache.result_cache_entries = 0;
+  const auto want = api::Simulator(c, no_cache).amplitude(bits);
+  ASSERT_TRUE(want.completed) << want.telemetry.error;
+
+  opt.cache.cache_dir = dir.path;
+  api::SimulatorOptions bf16 = opt;
+  bf16.precision = "bf16";
+  api::Simulator bf16_sim(c, bf16);
+  const auto low = bf16_sim.amplitude(bits);
+  ASSERT_TRUE(low.completed) << low.telemetry.error;
+  ASSERT_NE(std::memcmp(&low.amplitude, &want.amplitude, sizeof(want.amplitude)), 0)
+      << "bf16 must differ from fp32 here, or this test cannot see a mixed-up key";
+
+  api::Simulator fp32_sim(c, opt);
+  const auto got = fp32_sim.amplitude(bits);
+  ASSERT_TRUE(got.completed) << got.telemetry.error;
+  EXPECT_FALSE(got.from_cache);
+  EXPECT_EQ(std::memcmp(&got.amplitude, &want.amplitude, sizeof(want.amplitude)), 0)
+      << "fp32 request was answered with another precision's amplitude";
+  EXPECT_EQ(fp32_sim.cache_stats().result.hits(), 0u);
+  EXPECT_EQ(fp32_sim.cache_stats().plan.disk_hits, 1u);  // plans ignore precision
 }
 
 TEST(SimulatorCache, BatchWarmRunIsBitwiseIdentical) {

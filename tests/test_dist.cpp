@@ -178,7 +178,7 @@ TEST(Wire, TelemetryRoundTripsExactly) {
   t.leases = 9;
   t.reduce_merges = 511;
   t.wall_seconds = 0.123456789;
-  t.backend = "blocked";
+  t.backend = "simd";
   t.executor.scheduled = 512;
   t.executor.stolen = 17;
   t.executor.finished = 512;
@@ -286,6 +286,50 @@ TEST(Wire, TruncatedFrameThrows) {
   auto err = read_frame_error(
       make_header(kWireMagic, kWireVersion, host_endian(), FrameType::kBlock, 100), "abc", 3);
   EXPECT_NE(err.find("mid-frame"), std::string::npos) << err;
+}
+
+// A forged header claiming 2^39 payload bytes (under the 1 TiB cap) must
+// cost memory in proportion to what actually arrives: the peer's death a
+// few bytes in surfaces as the ordinary truncation error, with no 512 GiB
+// allocation attempted first.
+TEST(Wire, ForgedHugeLengthFailsWithoutAllocatingIt) {
+  auto err = read_frame_error(make_header(kWireMagic, kWireVersion, host_endian(),
+                                          FrameType::kBlock, uint64_t(1) << 39),
+                              "abcdefgh", 8);
+  EXPECT_NE(err.find("peer closed mid-frame"), std::string::npos) << err;
+}
+
+// A payload several times the first receive buffer crosses every growth
+// step of read_frame and must arrive byte for byte.
+TEST(Wire, LargePayloadRoundTripsThroughBufferGrowth) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::vector<uint8_t> sent((size_t(5) << 20) + 123);
+  for (size_t i = 0; i < sent.size(); ++i) sent[i] = uint8_t(i * 131 + (i >> 13));
+  // The writer blocks until the reader drains the socket, so it needs its
+  // own thread; both sides catch, so a failure reaches the assertions
+  // below with the thread joined.
+  std::thread writer([&] {
+    try {
+      write_frame(sv[0], FrameType::kBlock, sent.data(), sent.size());
+    } catch (const std::exception&) {
+    }
+    ::close(sv[0]);
+  });
+  Frame f;
+  bool got = false;
+  std::string err;
+  try {
+    got = read_frame(sv[1], &f);
+  } catch (const std::exception& e) {
+    err = e.what();
+  }
+  ::shutdown(sv[1], SHUT_RD);  // unblocks the writer if the read stopped early
+  writer.join();
+  ::close(sv[1]);
+  ASSERT_TRUE(got) << err;
+  EXPECT_EQ(f.type, FrameType::kBlock);
+  EXPECT_TRUE(f.payload == sent);
 }
 
 TEST(Wire, BadMagicThrows) {
@@ -1107,12 +1151,12 @@ TEST(RunShardedElastic, StragglerIsStolenFromAndRunStaysBitwise) {
 }
 
 // Heterogeneous device fleet: workers run DIFFERENT backends (host and
-// blocked) under the elastic driver. Because every conforming backend is
+// simd) under the elastic driver. Because every conforming backend is
 // bitwise identical, the merged tensor must equal the 1-process host run
 // byte for byte even though the partials were computed by different device
 // implementations — and with a deterministic speed skew on the host
 // worker, the lease ledger must rebalance (steal) around it.
-TEST(RunShardedElastic, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
+TEST(RunShardedElastic, MixedHostSimdFleetRebalancesAndStaysBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
   serial.executor = exec::SliceExecutor::kInnerPool;
@@ -1123,7 +1167,7 @@ TEST(RunShardedElastic, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
 
   // Worker 0 (host backend) is dragged into a deterministic straggle so the
   // speed skew — and therefore the steal — happens on every run, not only
-  // when the hardware happens to make blocked faster.
+  // when the hardware happens to make simd faster.
   ScopedEnv slow_shard("LTNS_CHAOS_SLEEP_SHARD", "0");
   ScopedEnv slow_ms("LTNS_CHAOS_SLEEP_MS", "150");
   exec::ShardRunOptions so;
@@ -1131,7 +1175,7 @@ TEST(RunShardedElastic, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
   so.workers_per_process = 1;
   so.elastic = true;
   so.lease_size = 1;
-  so.backends = {"host", "blocked", "blocked"};  // per-shard device mix
+  so.backends = {"host", "simd", "simd"};  // per-shard device mix
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
@@ -1141,8 +1185,8 @@ TEST(RunShardedElastic, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
   // Telemetry names each worker's backend and carries its device counters.
   ASSERT_EQ(r.shards.size(), 3u);
   EXPECT_EQ(r.shards[0].backend, "host");
-  EXPECT_EQ(r.shards[1].backend, "blocked");
-  EXPECT_EQ(r.shards[2].backend, "blocked");
+  EXPECT_EQ(r.shards[1].backend, "simd");
+  EXPECT_EQ(r.shards[2].backend, "simd");
   uint64_t device_gemms = 0;
   for (const auto& s : r.shards) device_gemms += s.executor.device.gemm_calls;
   EXPECT_GT(device_gemms, 0u);
@@ -1161,14 +1205,14 @@ TEST(RunSharded, MixedBackendsBitwiseIdenticalUnderStaticDriver) {
   exec::ShardRunOptions so;
   so.processes = 4;
   so.workers_per_process = 1;
-  so.backends = {"blocked", "host"};  // alternating per shard index
+  so.backends = {"simd", "host"};  // alternating per shard index
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated));
   ASSERT_EQ(r.shards.size(), 4u);
-  EXPECT_EQ(r.shards[0].backend, "blocked");
+  EXPECT_EQ(r.shards[0].backend, "simd");
   EXPECT_EQ(r.shards[1].backend, "host");
-  EXPECT_EQ(r.shards[2].backend, "blocked");
+  EXPECT_EQ(r.shards[2].backend, "simd");
   EXPECT_EQ(r.shards[3].backend, "host");
 }
 
@@ -1183,7 +1227,7 @@ TEST(RunSharded, UnknownBackendSurfacesRegistryError) {
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   EXPECT_FALSE(r.completed);
   EXPECT_NE(r.error.find("unknown device backend"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("blocked"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("simd"), std::string::npos) << r.error;
 }
 
 // The fork-time fault hook (dies before its first lease request): the

@@ -8,7 +8,6 @@
 #include "core/dynamic_slicer.hpp"
 #include "core/greedy_slicer.hpp"
 #include "exec/gemm.hpp"
-#include "exec/mixed_gemm.hpp"
 #include "exec/simd_kernels.hpp"
 #include "sv/statevector.hpp"
 #include "test_helpers.hpp"
@@ -62,7 +61,7 @@ TEST(DynamicSlicer, NoWorkWhenUnderBound) {
 }
 
 TEST(MixedGemm, MatchesBf16RoundedReference) {
-  // cgemm_mixed is the bf16 mixed-precision mode: operands rounded to
+  // The portable bf16 chain is the mixed-precision mode: operands rounded to
   // bf16 (round-to-nearest-even) at pack time, fp32 accumulation in the
   // HOST chain order. The reference below replays exactly that — round
   // both operands, then run the fp32 host GEMM — so the comparison is
@@ -72,7 +71,8 @@ TEST(MixedGemm, MatchesBf16RoundedReference) {
   std::vector<exec::cfloat> a(size_t(m) * k), b(size_t(k) * n), c(size_t(m) * n);
   for (auto& v : a) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   for (auto& v : b) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
-  exec::cgemm_mixed(m, n, k, a.data(), b.data(), c.data());
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a.data(),
+                   b.data(), c.data());
   std::vector<exec::cfloat> ar(a), br(b), want(size_t(m) * n);
   for (auto& v : ar) v = exec::cfloat(exec::bf16_round(v.real()), exec::bf16_round(v.imag()));
   for (auto& v : br) v = exec::cfloat(exec::bf16_round(v.real()), exec::bf16_round(v.imag()));
@@ -93,7 +93,8 @@ TEST(MixedGemm, UlpCloseToFp32OnWellScaledInputs) {
   for (auto& v : b) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   std::vector<exec::cfloat> cs(size_t(m) * n), cm(size_t(m) * n);
   exec::cgemm(m, n, k, a.data(), b.data(), cs.data());
-  exec::cgemm_mixed(m, n, k, a.data(), b.data(), cm.data());
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a.data(),
+                   b.data(), cm.data());
   float scale = 0;
   for (const auto& v : cs) scale = std::max({scale, std::abs(v.real()), std::abs(v.imag())});
   int64_t max_ulp = 0;
@@ -118,8 +119,10 @@ TEST(MixedGemm, DeterministicAcrossRepeatedRuns) {
   for (auto& v : a) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   for (auto& v : b) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   std::vector<exec::cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
-  exec::cgemm_mixed(m, n, k, a.data(), b.data(), c1.data());
-  exec::cgemm_mixed(m, n, k, a.data(), b.data(), c2.data());
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a.data(),
+                   b.data(), c1.data());
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a.data(),
+                   b.data(), c2.data());
   for (size_t i = 0; i < c1.size(); ++i) ASSERT_EQ(c1[i], c2[i]) << "element " << i;
 }
 
@@ -131,8 +134,10 @@ TEST(MixedGemm, ParallelMatchesSerial) {
       c2(size_t(m) * n);
   for (auto& v : a) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   for (auto& v : b) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
-  exec::cgemm_mixed(m, n, k, a.data(), b.data(), c1.data());
-  exec::cgemm_mixed(m, n, k, a.data(), b.data(), c2.data(), &pool);
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a.data(),
+                   b.data(), c1.data());
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a.data(),
+                   b.data(), c2.data(), &pool);
   for (size_t i = 0; i < c1.size(); ++i) EXPECT_EQ(c1[i], c2[i]);
 }
 

@@ -21,7 +21,6 @@
 #include "device/backend.hpp"
 #include "device/cpu_probe.hpp"
 #include "exec/gemm.hpp"
-#include "exec/mixed_gemm.hpp"
 #include "exec/permute.hpp"
 #include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
@@ -179,10 +178,9 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
 
 // --- backend-level parity: every registered backend vs host ---------------
 
-TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
+TEST(KernelsParityBackends, GemmBitwiseAcrossAllSpecs) {
   Rng rng(0xabcd);
   for (const auto& info : device::available_backends()) {
-    if (!info.caps.available) continue;
     for (const char* suffix : {"", "+fp32", "+bf16"}) {
       const std::string spec = info.name + suffix;
       auto backend = device::make_backend(spec);
@@ -203,7 +201,7 @@ TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
   }
 }
 
-TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllAvailableSpecs) {
+TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllSpecs) {
   auto w0 = random_tensor({0, 1, 2, 3, 4, 5, 6, 7}, 61);
   std::vector<Tensor> branches;
   branches.push_back(random_tensor({0, 1, 100, 101}, 62));
@@ -215,7 +213,6 @@ TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllAvailableSpecs) {
     auto want = device::make_backend("host" + std::string(suffix))
                     ->run_stem_window(w0, branches.data(), int(branches.size()), &hcs, &hds);
     for (const auto& info : device::available_backends()) {
-      if (!info.caps.available) continue;
       const std::string spec = info.name + suffix;
       exec::ContractStats cs;
       device::DeviceStats ds;
@@ -239,7 +236,8 @@ TEST(KernelsParityBf16, BitwiseIdenticalAcrossTiers) {
     auto a = random_buf(size_t(m) * k, seed++);
     auto b = random_buf(size_t(k) * n, seed++);
     AlignedCfloatVec want(size_t(m) * n);
-    cgemm_mixed(m, n, k, a.data(), b.data(), want.data());  // portable reference
+    cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(),
+               want.data());  // portable reference
     for (IsaTier tier : vector_tiers()) {
       AlignedCfloatVec got(size_t(m) * n);
       cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), got.data());
@@ -273,7 +271,7 @@ int64_t corpus_max_ulp(int m, int n, int k, uint64_t seed) {
   auto b = random_buf(size_t(k) * n, seed + 1);
   AlignedCfloatVec fp32(size_t(m) * n), bf16(size_t(m) * n);
   cgemm(m, n, k, a.data(), b.data(), fp32.data());
-  cgemm_mixed(m, n, k, a.data(), b.data(), bf16.data());
+  cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(), bf16.data());
   float scale = 0.f;
   for (const auto& v : fp32) {
     scale = std::max(scale, std::fabs(v.real()));
